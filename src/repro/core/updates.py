@@ -18,6 +18,10 @@ index should be done sparingly".
   affected block with the entry removed (plus a DRAM tombstone so
   queries drop in-flight candidates immediately).
 
+Both end with :meth:`~repro.core.e2lshos.E2LSHoSIndex.invalidate_query_caches`,
+so no memoized hash plan or recorded sub-query outlives the index state
+it was taken on.
+
 The block store counts every byte written, so the endurance ablation
 benchmark can compare incremental maintenance against full rebuilds.
 """
@@ -116,6 +120,7 @@ class IndexUpdater:
                 merged = np.union1d(handle.present_values, hash_values[:, li].astype(np.uint32))
                 object.__setattr__(handle, "present_values", merged)
         self.stats.inserted += int(vectors.shape[0])
+        index.invalidate_query_caches()
         return new_ids
 
     def _insert_entry(
@@ -180,6 +185,7 @@ class IndexUpdater:
                 self._delete_entry(handle, int(slots[0]), object_id, int(fingerprints[0]))
         self._deleted.add(object_id)
         self.stats.deleted += 1
+        index.invalidate_query_caches()
 
     def _delete_entry(
         self, handle: TableHandle, slot: int, object_id: int, fingerprint: int
@@ -213,5 +219,5 @@ class IndexUpdater:
         """Drop tombstoned IDs from a candidate/answer array."""
         if not self._deleted:
             return ids
-        mask = np.array([obj not in self._deleted for obj in ids.tolist()])
+        mask = np.array([obj not in self._deleted for obj in ids.tolist()], dtype=bool)
         return ids[mask]

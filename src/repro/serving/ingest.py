@@ -453,7 +453,6 @@ class IngestCoordinator:
                     local_map[gid] = int(local)
         for gid in tombstone_ids:
             updater.delete(self._local_id(shard_id, gid))
-        shard.index.invalidate_query_caches()
         return (
             updater.stats.io_requests - requests_before,
             store.bytes_written - bytes_before,

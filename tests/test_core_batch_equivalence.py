@@ -8,7 +8,8 @@ yield *exactly* the Compute/ReadBatch action stream of
 ``query_task(q)`` run alone — same simulated durations, same I/O
 addresses in the same order, same answers, same op counts.  These tests
 pin that contract across k/stop_k settings, rung descent depths, empty
-buckets, duplicated queries, and warm plan caches.
+buckets, duplicated queries, warm plan caches, and recorded sub-queries
+replayed from the memo.
 """
 
 import numpy as np
@@ -113,15 +114,41 @@ def test_engine_run_identical_scalar_vs_batch(setup):
         np.testing.assert_array_equal(a.distances, b.distances)
 
 
-def test_warm_plan_cache_changes_nothing(setup):
-    """Replanning the same queries reuses memoized hash state bit-for-bit."""
+@pytest.mark.parametrize("k,stop_k", [(1, None), (5, None), (10, 2), (3, 8)])
+@pytest.mark.parametrize("remap", [False, True], ids=["local-ids", "id-map"])
+def test_warm_plan_cache_changes_nothing(setup, k, stop_k, remap):
+    """Cold, recorded (second sighting) and replayed (third) passes agree.
+
+    The second pass reuses memoized hash state and records each task;
+    the third replays the recordings without running the query code.
+    Action streams, answers and op counts must match bit-for-bit.
+    """
     index, queries = setup
-    cold = [drain(index, t) for t in index.query_tasks(queries, k=3)]
-    warm = [drain(index, t) for t in index.query_tasks(queries, k=3)]
-    for (cold_actions, cold_answer), (warm_actions, warm_answer) in zip(cold, warm):
-        assert cold_actions == warm_actions
-        np.testing.assert_array_equal(cold_answer.ids, warm_answer.ids)
-        np.testing.assert_array_equal(cold_answer.distances, warm_answer.distances)
+    index.invalidate_query_caches()  # the module fixture is shared
+    id_map = np.arange(index.params.n, dtype=np.int64)[::-1] * 7 + 3 if remap else None
+    passes = [
+        [drain(index, t) for t in index.query_tasks(queries, k=k, id_map=id_map, stop_k=stop_k)]
+        for _ in range(3)
+    ]
+    assert all(
+        memo.scripts for memo in index._plan_cache.values()
+    ), "the second pass should have recorded every query"
+    cold = passes[0]
+    for later in passes[1:]:
+        for (cold_actions, cold_answer), (actions, answer) in zip(cold, later):
+            assert actions == cold_actions
+            np.testing.assert_array_equal(answer.ids, cold_answer.ids)
+            np.testing.assert_array_equal(answer.distances, cold_answer.distances)
+            assert vars(answer.stats.ops) == vars(cold_answer.stats.ops)
+            assert answer.stats.ios_issued == cold_answer.stats.ios_issued
+            assert answer.stats.rungs_searched == cold_answer.stats.rungs_searched
+            assert answer.stats.candidates_checked == cold_answer.stats.candidates_checked
+    if remap:
+        # Scripts hold local ids; the map is applied per replay.
+        local = [drain(index, t) for t in index.query_tasks(queries, k=k, stop_k=stop_k)]
+        assert any(answer.ids.size for _, answer in cold)
+        for (_, mapped), (_, plain) in zip(cold, local):
+            np.testing.assert_array_equal(mapped.ids, id_map[plain.ids])
 
 
 def test_duplicate_rows_in_one_wave_share_a_plan(setup):

@@ -1,12 +1,12 @@
 """Tests for repro.serving.catalog: every entry seeded and replayable."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.serving.catalog import CATALOG_NAMES, build_scenario, catalog
-from repro.serving.scenario import ScenarioSpec, run_scenario
+from repro.serving.scenario import ScenarioSpec, build_scenario_index, run_scenario
 
 
 def test_catalog_names_are_the_committed_eight():
@@ -43,6 +43,35 @@ def test_quick_entries_replay_byte_identically(name):
     first = json.dumps(asdict(run_scenario(spec).report), sort_keys=True)
     second = json.dumps(asdict(run_scenario(spec).report), sort_keys=True)
     assert first == second
+
+
+def report_json(result):
+    return json.dumps(asdict(result.report), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["steady-state", "hot-set-drift", "steady-ingest"])
+def test_warm_shared_index_reports_like_a_cold_one(name):
+    """Recorded and replayed sub-queries change wall time, not results.
+
+    A first run on a shared index records the repeats of its skewed
+    query stream; the second run replays them.  The ingest spec runs
+    after two runs of its read-only twin, which leave a recording for
+    every query of the stream, so its merges land while replays are in
+    flight.  Every report must equal a cold index's.
+    """
+    spec = build_scenario(name, quick=True)
+    cold = report_json(run_scenario(spec))
+    shared = build_scenario_index(spec)
+    workload = spec.workload
+    if workload.ingest_requests:
+        reads = replace(workload, ingest_requests=0, ingest_qps=0.0, delete_fraction=0.0)
+        for _ in range(2):
+            run_scenario(replace(spec, workload=reads), index=shared)
+    else:
+        assert report_json(run_scenario(spec, index=shared)) == cold
+    shards = [shard.index for shard in shared.sharded.shards]
+    assert any(memo.scripts for index in shards for memo in index._plan_cache.values())
+    assert report_json(run_scenario(spec, index=shared)) == cold
 
 
 def test_quick_and_full_scales_differ_only_in_size():
